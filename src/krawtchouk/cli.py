@@ -18,7 +18,7 @@ from pathlib import Path
 from .analytic import AnalyticContext, leibniz, leibniz_bruteforce
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, Matrix, format_rational,
                    matrices_match, parse_rational, scalars_match)
-from .fock import FockRep
+from .fock import FockRep, commutator
 from .induced import check_homomorphism, check_transpose_lemma
 from .report import FAIL, PASS, SKIPPED, CheckResult, VerificationReport
 from .sampling import RngSpec, empirical_gram
@@ -457,7 +457,6 @@ def _check_observables(ctx: _VerifyContext) -> CheckResult:
             witness["clause"] = f"X_{j} selfadjoint under the gram weights"
             return CheckResult("observables", FAIL, witness)
     zero = Matrix.zeros(rep.dim, rep.dim, exact=rep.exact)
-    from .fock import commutator
     for j in range(1, rep.d + 1):
         for k in range(j + 1, rep.d + 1):
             witness = matrices_match(commutator(rep.observable(j), rep.observable(k)),

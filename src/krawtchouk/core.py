@@ -4,6 +4,17 @@ Two scalar flavors run through the whole package: exact values are
 `fractions.Fraction`, approximate values are 64-bit floats.  A matrix
 holds one flavor only, and the only permitted conversion is exact to
 float (`Matrix.to_float`); there is no route back.
+
+Exact kernel.  Products and inverses of exact matrices never add
+Fractions.  Each operand is scaled once by the lcm L of its
+denominators, so L*A is an integer matrix; the work then runs over
+Python ints, skips every zero factor (each row of the right operand is
+listed by its nonzero columns and values), and normalizes each output
+cell once, as Fraction(acc, La*Lb) for a product and L*adj/det for an
+inverse (the fraction-free Gauss-Jordan elimination of Bareiss, Math.
+Comp. 22 (1968)).  Results built inside the class skip re-coercion.  The
+float branch of a product walks the same nonzero lists in the same order
+as a plain triple loop, so float results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -14,6 +25,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 DEFAULT_ATOL = 1e-12
 DEFAULT_RTOL = 1e-9
@@ -157,12 +169,15 @@ def enumerate_level(d: int, N: int) -> LevelBasis:
     return LevelBasis(d, N, indices, table)
 
 
+_ZERO = Fraction(0)  # shared by every zero cell of an exact matrix the class builds
+
+
 def _coerce_exact(value):
     if isinstance(value, float):
         raise FlavorError("float entry in an exact matrix")
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(operator.index(value))
+    if not isinstance(value, Fraction):
+        value = Fraction(operator.index(value))
+    return value if value else _ZERO
 
 
 def _coerce_approx(value):
@@ -170,6 +185,45 @@ def _coerce_approx(value):
     if not math.isfinite(out):
         raise ValueError(f"non-finite entry {value!r} in an approximate matrix")
     return out
+
+
+# Zero cells of exact matrices are nearly always the shared _ZERO, so an
+# identity test skips them cheaply.  Rows are walked as iterators, never
+# sliced into short tuples: CPython keeps up to 2000 freed tuples of each
+# small size, and row slices would fill those lists for good.
+
+def _denominator_lcm(cells) -> int:
+    return math.lcm(*{c.denominator for c in cells if c is not _ZERO})
+
+
+def _integer_row(cells, L: int) -> list:
+    """The ints L*c for Fraction cells c whose denominators divide L."""
+    if L == 1:
+        return [0 if c is _ZERO else c.numerator for c in cells]
+    return [0 if c is _ZERO else c.numerator * (L // c.denominator) for c in cells]
+
+
+def _over(nums, L: int) -> list:
+    """The Fractions x/L, one normalization per cell; zero cells share one constant."""
+    if L == 1:
+        return [Fraction(x) if x else _ZERO for x in nums]
+    return [Fraction(x, L) if x else _ZERO for x in nums]
+
+
+def _rows(cells, cols: int):
+    """The rows of row-major cells as iterators; consume each before the next."""
+    it = iter(cells)
+    return (islice(it, cols) for _ in range(len(cells) // cols))
+
+
+def _nonzero(row) -> tuple[list, list]:
+    """The columns and the values of the nonzero cells of a row."""
+    where, values = [], []
+    for j, v in enumerate(row):
+        if v:
+            where.append(j)
+            values.append(v)
+    return where, values
 
 
 class Matrix:
@@ -201,6 +255,19 @@ class Matrix:
         object.__setattr__(self, "exact", exact)
         object.__setattr__(self, "_cells", tuple(coerce(c) for c in cells))
 
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, cells: tuple, exact: bool) -> "Matrix":
+        """Wrap a tuple of cells that already have the flavor's scalar type.
+
+        Package-internal: no shape, flavor or finiteness check is made.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "cols", cols)
+        object.__setattr__(out, "exact", exact)
+        object.__setattr__(out, "_cells", cells)
+        return out
+
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
@@ -219,24 +286,27 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, exact: bool = True) -> "Matrix":
-        one, zero = (Fraction(1), Fraction(0)) if exact else (1.0, 0.0)
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], exact=exact)
+        if n <= 0:
+            raise ShapeError(f"bad shape {n}x{n}")
+        one, zero = (Fraction(1), _ZERO) if exact else (1.0, 0.0)
+        cells = [zero] * (n * n)
+        cells[::n + 1] = [one] * n
+        return cls._trusted(n, n, tuple(cells), exact)
 
     @classmethod
     def zeros(cls, rows: int, cols: int, exact: bool = True) -> "Matrix":
-        zero = Fraction(0) if exact else 0.0
-        return cls(rows, cols, [zero] * (rows * cols), exact=exact)
+        if rows <= 0 or cols <= 0:
+            raise ShapeError(f"bad shape {rows}x{cols}")
+        return cls._trusted(rows, cols, ((_ZERO if exact else 0.0),) * (rows * cols), exact)
 
     @classmethod
     def diagonal(cls, entries, exact: bool | None = None) -> "Matrix":
         diag = list(entries)
         n = len(diag)
         probe = cls(1, n, diag, exact=exact)  # reuse flavor inference
-        zero = Fraction(0) if probe.exact else 0.0
-        cells = [zero] * (n * n)
-        for i, v in enumerate(probe._cells):
-            cells[i * n + i] = v
-        return cls(n, n, cells, exact=probe.exact)
+        cells = [_ZERO if probe.exact else 0.0] * (n * n)
+        cells[::n + 1] = probe._cells
+        return cls._trusted(n, n, tuple(cells), probe.exact)
 
     # -- access ----------------------------------------------------------------
 
@@ -278,33 +348,54 @@ class Matrix:
         if self.exact != other.exact:
             raise FlavorError("cannot combine exact and approximate matrices")
 
+    def _like(self, cells: tuple) -> "Matrix":
+        return Matrix._trusted(self.rows, self.cols, cells, self.exact)
+
+    def _same_shape(self, other: "Matrix", what: str):
+        self._require_flavor(other)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            raise ShapeError(f"shape mismatch in {what}")
+
     def transpose(self) -> "Matrix":
-        cells = [self._cells[i * self.cols + j]
-                 for j in range(self.cols) for i in range(self.rows)]
-        return Matrix(self.cols, self.rows, cells, exact=self.exact)
+        cells = self._cells
+        out = tuple(c for j in range(self.cols) for c in cells[j::self.cols])
+        return Matrix._trusted(self.cols, self.rows, out, self.exact)
 
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        self._require_flavor(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch in addition")
-        cells = [a + b for a, b in zip(self._cells, other._cells)]
-        return Matrix(self.rows, self.cols, cells, exact=self.exact)
+        self._same_shape(other, "addition")
+        pairs = zip(self._cells, other._cells)
+        if self.exact:
+            return self._like(tuple(a if b is _ZERO else b if a is _ZERO else a + b
+                                    for a, b in pairs))
+        return self._like(tuple(a + b for a, b in pairs))
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self + (-other)
+        self._same_shape(other, "subtraction")
+        pairs = zip(self._cells, other._cells)
+        if self.exact:
+            return self._like(tuple(a if b is _ZERO else -b if a is _ZERO else a - b
+                                    for a, b in pairs))
+        return self._like(tuple(a - b for a, b in pairs))
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, [-c for c in self._cells], exact=self.exact)
+        if self.exact:
+            return self._like(tuple(_ZERO if c is _ZERO else -c for c in self._cells))
+        return self._like(tuple(-c for c in self._cells))
 
     def scaled(self, s) -> "Matrix":
-        if self.exact and isinstance(s, float):
+        if not self.exact:
+            s = float(s)
+            return self._like(tuple(s * c for c in self._cells))
+        if isinstance(s, float):
             raise FlavorError("float scale on an exact matrix")
-        s = s if self.exact else float(s)
-        return Matrix(self.rows, self.cols, [s * c for c in self._cells], exact=self.exact)
+        s = _coerce_exact(s)
+        if not s:
+            return self._like((_ZERO,) * len(self._cells))
+        return self._like(tuple(_ZERO if c is _ZERO else s * c for c in self._cells))
 
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
@@ -314,22 +405,25 @@ class Matrix:
             raise ShapeError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
         oc = other.cols
-        zero = Fraction(0) if self.exact else 0.0
-        out = [zero] * (self.rows * oc)
-        a_cells, b_cells = self._cells, other._cells
-        for i in range(self.rows):
-            abase = i * self.cols
-            rbase = i * oc
-            for k in range(self.cols):
-                a = a_cells[abase + k]
-                if not a:
-                    continue
-                bbase = k * oc
-                for j in range(oc):
-                    b = b_cells[bbase + j]
-                    if b:
-                        out[rbase + j] += a * b
-        return Matrix(self.rows, oc, out, exact=self.exact)
+        a_rows, b_rows = _rows(self._cells, self.cols), _rows(other._cells, oc)
+        if self.exact:
+            La, Lb = _denominator_lcm(self._cells), _denominator_lcm(other._cells)
+            a_rows = (_integer_row(row, La) for row in a_rows)
+            b_rows = (_integer_row(row, Lb) for row in b_rows)
+            zero = 0
+        else:
+            zero = 0.0
+        b_rows = [_nonzero(row) for row in b_rows]
+        out = []
+        for a_row in a_rows:
+            acc = [zero] * oc
+            for k, a in enumerate(a_row):
+                if a:
+                    b_where, b_values = b_rows[k]
+                    for j, b in zip(b_where, b_values):
+                        acc[j] += a * b
+            out.extend(_over(acc, La * Lb) if self.exact else acc)
+        return Matrix._trusted(self.rows, oc, tuple(out), self.exact)
 
     def apply(self, vector) -> list:
         """Matrix-vector product, returned as a plain list."""
@@ -353,9 +447,11 @@ class Matrix:
         return sum(self.diagonal_entries())
 
     def inverse(self) -> "Matrix":
-        """Gauss-Jordan inverse with partial pivoting; exact over Fractions."""
+        """Inverse: fraction-free Gauss-Jordan when exact, partial pivoting on floats."""
         if not self.is_square:
             raise ShapeError("inverse of a non-square matrix")
+        if self.exact:
+            return self._exact_inverse()
         n = self.rows
         work = [self.row(i) for i in range(n)]
         aug = Matrix.identity(n, exact=self.exact).to_rows()
@@ -379,11 +475,51 @@ class Matrix:
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
         return Matrix.from_rows(aug, exact=self.exact)
 
+    def _exact_inverse(self) -> "Matrix":
+        # Bareiss elimination on [L*A | I]: after step k every entry is a
+        # (k+1)-minor of the row-swapped augmented matrix, so the division by
+        # the previous pivot is exact.  The left block ends as det*I and the
+        # right as the adjugate det*(L*A)^-1, det = +-det(L*A) after swaps.
+        n = self.rows
+        L = _denominator_lcm(self._cells)
+        work = []
+        for i, cells in enumerate(_rows(self._cells, n)):
+            row = _integer_row(cells, L) + [0] * n
+            row[n + i] = 1
+            work.append(row)
+        prev = 1
+        for k in range(n):
+            pivot_row = next((r for r in range(k, n) if work[r][k]), None)
+            if pivot_row is None:
+                raise ValueError("matrix is not invertible")
+            work[k], work[pivot_row] = work[pivot_row], work[k]
+            top = work[k]
+            p = top[k]
+            support = [(j, v) for j, v in enumerate(top) if v]
+            for i in range(n):
+                if i == k:
+                    continue
+                row = work[i]
+                f = row[k]
+                if f:
+                    row = [p * v for v in row]
+                    for j, v in support:
+                        row[j] -= f * v
+                    if prev != 1:
+                        row = [v // prev for v in row]
+                elif p != prev:
+                    row = [p * v // prev for v in row]
+                work[i] = row
+            prev = p
+        det = work[0][0]
+        adj = [v for row in work for v in row[n:]]
+        return Matrix._trusted(n, n, tuple(_over([L * v for v in adj], det)), True)
+
     def to_float(self) -> "Matrix":
         """Explicit, lossy conversion to the approximate flavor."""
         if not self.exact:
             return self
-        return Matrix(self.rows, self.cols, [float(c) for c in self._cells], exact=False)
+        return Matrix._trusted(self.rows, self.cols, tuple(float(c) for c in self._cells), False)
 
     # -- comparison ---------------------------------------------------------------
 
@@ -427,17 +563,15 @@ def matrices_match(lhs: Matrix, rhs: Matrix, atol: float = DEFAULT_ATOL,
     exact = lhs.exact and rhs.exact
     first = None
     max_dev = 0.0
-    for i in range(lhs.rows):
-        for j in range(lhs.cols):
-            a, b = lhs[i, j], rhs[i, j]
-            if scalars_match(a, b, atol, rtol, exact=exact):
-                continue
-            if first is None:
-                first = {"location": [i, j],
-                         "actual": _render(a, lhs.exact),
-                         "expected": _render(b, rhs.exact)}
-            if not exact:
-                max_dev = max(max_dev, abs(float(a) - float(b)))
+    for idx, (a, b) in enumerate(zip(lhs.entries, rhs.entries)):
+        if a is b or (a == b if exact else scalars_match(a, b, atol, rtol, exact=False)):
+            continue
+        if first is None:
+            first = {"location": list(divmod(idx, lhs.cols)),
+                     "actual": _render(a, lhs.exact),
+                     "expected": _render(b, rhs.exact)}
+        if not exact:
+            max_dev = max(max_dev, abs(float(a) - float(b)))
     if first is None:
         return None
     if not exact:

@@ -28,7 +28,7 @@ class _Span:
         self.exact = exact
         self.atol = atol
         self.rtol = rtol
-        self.pivots: list[tuple[int, list]] = []
+        self.pivots: list[tuple[int, object, list]] = []  # (column, value, nonzero support)
 
     def _threshold(self, vec) -> float:
         if self.exact:
@@ -38,11 +38,12 @@ class _Span:
 
     def residual(self, vec: list) -> list:
         vec = list(vec)
-        for col, pivot_vec in self.pivots:
+        for col, pivot, support in self.pivots:
             c = vec[col]
             if c:
-                f = c / pivot_vec[col]
-                vec = [a - f * b for a, b in zip(vec, pivot_vec)]
+                f = c / pivot
+                for idx, b in support:
+                    vec[idx] -= f * b
         return vec
 
     def add(self, vec: list) -> bool:
@@ -51,19 +52,20 @@ class _Span:
         tol = self._threshold(vec)
         best, best_mag = None, tol
         for idx, value in enumerate(r):
-            mag = abs(value)
-            if mag > best_mag:
-                best, best_mag = idx, mag
+            if value:
+                mag = abs(value)
+                if mag > best_mag:
+                    best, best_mag = idx, mag
         if best is None:
             return False
-        self.pivots.append((best, r))
+        self.pivots.append((best, r[best], [(idx, v) for idx, v in enumerate(r) if v]))
         return True
 
     def deviation(self, vec: list) -> float:
         """How far the vector is from the span (0.0 means inside)."""
         r = self.residual(vec)
         tol = self._threshold(vec)
-        worst = max((abs(v) for v in r), default=0)
+        worst = max((abs(v) for v in r if v), default=0)
         return 0.0 if worst <= tol else float(worst)
 
 

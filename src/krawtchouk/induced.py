@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, LevelBasis, Matrix, ShapeError,
-                   enumerate_level, matrices_match, multinomial_coeff)
+                   _denominator_lcm, _integer_row, _over, enumerate_level, matrices_match,
+                   multinomial_coeff)
 from .report import CheckResult, VerificationReport
 
 
@@ -24,40 +26,75 @@ class InducedMatrix:
     matrix: Matrix
 
 
-def _mul_linear(poly: dict, coeffs: list) -> dict:
-    # one multiplication by the linear form sum_j coeffs[j] * v_j
+@lru_cache(maxsize=None)
+def _level_steps(d: int, k: int) -> tuple:
+    """How level k grows out of level k-1.
+
+    Returns (up, steps): up[r][j] is the level-k rank of (monomial r of
+    level k-1) * v_j, and steps[s] = (last, parent) says that monomial s of
+    level k is its level-(k-1) parent times v_last, where last is the last
+    variable with a positive exponent.
+    """
+    lower, upper = enumerate_level(d, k - 1), enumerate_level(d, k)
+    up = tuple(tuple(upper.rank_table[m.shifted(j)] for j in range(d + 1)) for m in lower)
+    steps = []
+    for m in upper:
+        last = max(ell for ell, e in enumerate(m) if e)
+        steps.append((last, lower.rank_table[m.shifted(last, -1)]))
+    return up, tuple(steps)
+
+
+def _mul_linear(poly: dict, coeffs: list, up: tuple) -> dict:
+    # one multiplication by the linear form sum_j coeffs[j] * v_j; poly maps
+    # monomial ranks to coefficients, `up` moves a rank one degree higher
+    terms = [(j, a) for j, a in enumerate(coeffs) if a]
     out: dict = {}
     for exp, c in poly.items():
-        for j, a in enumerate(coeffs):
-            if not a:
-                continue
-            key = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
+        shift = up[exp]
+        for j, a in terms:
+            key = shift[j]
             prev = out.get(key)
             out[key] = c * a if prev is None else prev + c * a
     return out
 
 
 def induced_matrix(A: Matrix, N: int) -> InducedMatrix:
-    """Symmetric N-th power of a square matrix, rows in dictionary order."""
+    """Symmetric N-th power of a square matrix, rows in dictionary order.
+
+    The row at m expands prod_l (row_l(A) . v)^(m_l), multiplying the
+    factors in the order l = 0, 1, ..., d.  The polynomial of m is therefore
+    that of its parent m - e_last times row_last(A): one multiplication per
+    row, built degree by degree, with only the previous degree kept.  Exact
+    bases are expanded over the integers L*A and divided by L^N at the end.
+    """
     if not A.is_square:
         raise ShapeError("induced matrix of a non-square base")
     if N < 0:
         raise ValueError(f"level must be nonnegative, got {N}")
     d = A.rows - 1
     basis = enumerate_level(d, N)
-    one = Fraction(1) if A.exact else 1.0
-    zero = Fraction(0) if A.exact else 0.0
-    start = (0,) * (d + 1)
-    entries = []
-    for m in basis:
-        poly = {start: one}
-        for ell in range(d + 1):
-            row = A.row(ell)
-            for _ in range(m[ell]):
-                poly = _mul_linear(poly, row)
-        entries.extend(poly.get(n, zero) for n in basis)
+    if A.exact:
+        L = _denominator_lcm(A.entries)
+        base = [_integer_row(A.row(ell), L) for ell in range(d + 1)]
+        one = 1
+    else:
+        base = [A.row(ell) for ell in range(d + 1)]
+        one = 1.0
+    polys = [{0: one}]
+    for k in range(1, N + 1):
+        up, steps = _level_steps(d, k)
+        parents = polys
+        polys = (_mul_linear(parents[parent], base[last], up) for last, parent in steps)
+        if k < N:
+            polys = list(polys)  # the top level is consumed row by row below
     size = len(basis)
-    return InducedMatrix(d + 1, N, basis, Matrix(size, size, entries, exact=A.exact))
+    cells = []
+    for poly in polys:
+        row = [0 if A.exact else 0.0] * size
+        for col, c in poly.items():
+            row[col] = c
+        cells.extend(_over(row, L ** N) if A.exact else row)
+    return InducedMatrix(d + 1, N, basis, Matrix._trusted(size, size, tuple(cells), A.exact))
 
 
 def binomial_diag(d: int, N: int) -> Matrix:

@@ -54,14 +54,13 @@ class KGSystem:
         return tuple(self.A.row(0))
 
 
-def _diagonal_or_raise(G: Matrix, exact: bool, atol: float, rtol: float):
+def _diagonal_or_raise(G: Matrix):
     for i in range(G.rows):
         for j in range(G.cols):
             if i == j:
                 continue
             entry = G[i, j]
-            ok = (entry == 0) if exact else abs(entry) <= atol + rtol * abs(entry)
-            if not ok:
+            if entry != 0:
                 raise KConditionError(
                     "k-condition-violated",
                     f"columns {i} and {j} are not orthogonal (inner product {entry})",
@@ -104,7 +103,7 @@ def build_exact(A: Matrix, p) -> KGSystem:
 
     P = Matrix.diagonal(probs)
     G = A.transpose() @ P @ A
-    _diagonal_or_raise(G, exact=True, atol=0.0, rtol=0.0)
+    _diagonal_or_raise(G)
     D = G.diagonal_entries()
     if D[0] != 1:
         raise KConditionError("d-not-normalized", f"D_0 is {D[0]}, not 1")

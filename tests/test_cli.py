@@ -1,8 +1,11 @@
 import csv
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from krawtchouk.cli import CHECK_ORDER, main
 
@@ -104,6 +107,30 @@ def test_generate_operators_json(tmp_path, capsys):
     ops = json.loads(out.read_text())["operators"]
     assert ops["R1"] == [["0", "0"], ["1", "0"]]
     assert ops["X1"] == [["1/2", "-1/4"], ["-1", "1/2"]]
+
+
+# sha256 of the float files written by `generate --targets phi,operators` for
+# systems/rotation.json, pinned so that a change of summation order or of the
+# sign of a zero in the float kernel shows up byte for byte
+ROTATION_DIGESTS = {
+    2: {"phi.json": "d2dbf575cc8d9672d0ad76f78145934bd3a7fb3bf46c14cb8f099e77aa2a30b2",
+        "operators.json": "f435b5386d46b0ad3afed57b31fa9c7a7326209c8a1eeee2b4327d392239cb2f"},
+    4: {"phi.json": "3ebaa7cd426d57be873b550b5c3de12f7fa6b16707a315a78f39f77280bc9b3b",
+        "operators.json": "d844152207ad19e5dfe33e448921f56ff6622f15a05c827157993e7343ce51d4"},
+    7: {"phi.json": "fb335156f43b68af9d7bfab024883afbcb0c7b9ac69f0a667ca23de039fd4d05",
+        "operators.json": "1df7100a96ad3883cb219031644a9c881179212f8581d5e6f8cde574622163ea"},
+}
+
+
+@pytest.mark.parametrize("level", sorted(ROTATION_DIGESTS))
+def test_generate_float_rotation_bytes_pinned(tmp_path, capsys, level):
+    outdir = tmp_path / "out"
+    code, _ = run(capsys, "generate", "--system", str(SYSTEMS / "rotation.json"),
+                  "--level", str(level), "--targets", "phi,operators", "--out", str(outdir))
+    assert code == 0
+    digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
+               for name in ROTATION_DIGESTS[level]}
+    assert digests == ROTATION_DIGESTS[level]
 
 
 def test_generate_rejects_unknown_target(tmp_path, capsys):

@@ -235,3 +235,119 @@ def test_matrix_immutable():
     M = Matrix.identity(2)
     with pytest.raises(AttributeError):
         M.rows = 3
+
+
+# -- exact and float kernels against naive references ------------------------------
+
+
+def _random_cells(rng, rows, cols, draw, zero):
+    cells = [zero if rng.random() < 0.3 else draw() for _ in range(rows * cols)]
+    if rng.random() < 0.5:  # a zero row
+        i = rng.randrange(rows)
+        cells[i * cols:(i + 1) * cols] = [zero] * cols
+    if rng.random() < 0.5:  # a zero column
+        j = rng.randrange(cols)
+        cells[j::cols] = [zero] * rows
+    return cells
+
+
+def _big_rational(rng):
+    return Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6))
+
+
+def _naive_product(a, b, n, m, q, zero):
+    out = []
+    for i in range(n):
+        for j in range(q):
+            acc = zero
+            for k in range(m):
+                acc += a[i * m + k] * b[k * q + j]
+            out.append(acc)
+    return out
+
+
+def _naive_inverse(cells, n):
+    # textbook Gauss-Jordan over Fractions, first nonzero pivot
+    work = [[Fraction(c) for c in cells[i * n:(i + 1) * n]]
+            + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        work[col] = [v / work[col][col] for v in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
+    return [v for row in work for v in row[n:]]
+
+
+def test_exact_product_matches_naive_reference():
+    rng = random.Random(101)
+    for _ in range(150):
+        n, m, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_cells(rng, n, m, lambda: _big_rational(rng), Fraction(0))
+        b = _random_cells(rng, m, q, lambda: _big_rational(rng), Fraction(0))
+        product = Matrix(n, m, a) @ Matrix(m, q, b)
+        assert (product.rows, product.cols) == (n, q)
+        assert list(product.entries) == _naive_product(a, b, n, m, q, Fraction(0))
+        assert all(type(c) is Fraction for c in product.entries)
+
+
+def test_exact_inverse_matches_naive_reference():
+    rng = random.Random(103)
+    inverted = singular = 0
+    for _ in range(150):
+        n = rng.randint(1, 6)
+        cells = _random_cells(rng, n, n, lambda: _big_rational(rng), Fraction(0))
+        if rng.random() < 0.3:  # small integers make exact cancellation likely
+            cells = [Fraction(rng.randint(-2, 2)) for _ in range(n * n)]
+        expected = _naive_inverse(cells, n)
+        if expected is None:
+            singular += 1
+            with pytest.raises(ValueError, match="not invertible"):
+                Matrix(n, n, cells).inverse()
+            continue
+        inverted += 1
+        inv = Matrix(n, n, cells).inverse()
+        assert list(inv.entries) == expected
+        assert all(type(c) is Fraction for c in inv.entries)
+    assert inverted > 50 and singular > 10
+
+
+def test_float_product_is_the_naive_triple_loop():
+    rng = random.Random(107)
+    for _ in range(150):
+        n, m, q = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+
+        def draw():
+            return rng.choice([-0.0, 0.0]) if rng.random() < 0.1 else \
+                rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-30, 30)
+
+        a = _random_cells(rng, n, m, draw, 0.0)
+        b = _random_cells(rng, m, q, draw, -0.0)
+        actual = (Matrix(n, m, a, exact=False) @ Matrix(m, q, b, exact=False)).entries
+        expected = _naive_product(a, b, n, m, q, 0.0)
+        assert list(actual) == expected
+        assert [math.copysign(1.0, v) for v in actual] == \
+            [math.copysign(1.0, v) for v in expected]
+
+
+def test_exact_results_hold_fractions_only():
+    A = Matrix.from_rows([[1, 0, 2], [0, 0, 0]])
+    B = Matrix.from_rows([[3, 0], [0, 0], [Fraction(1, 2), 4]])
+    square = Matrix.from_rows([[2, 1], [1, 1]])
+    results = [A @ B, A + A, A - A, -A, A.scaled(3), A.scaled(0), A.transpose(),
+               square.inverse(), Matrix.identity(3), Matrix.zeros(2, 2),
+               Matrix.diagonal([1, 0, 2])]
+    for M in results:
+        assert M.exact
+        assert all(type(c) is Fraction for c in M.entries), M
+
+
+def test_exact_singular_inverse_raises():
+    for rows in ([[0, 0], [0, 0]], [[1, 2, 3], [2, 4, 6], [0, 1, 1]],
+                 [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 3)]]):
+        with pytest.raises(ValueError, match="not invertible"):
+            Matrix.from_rows(rows).inverse()

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -184,3 +185,43 @@ def test_float_flavor_checks():
     assert check_transpose_lemma(A1, 3, atol=1e-9).passed
     ind = induced_matrix(A1, 2)
     assert not ind.matrix.exact
+
+
+def expand_per_row(A: Matrix, m, one) -> dict:
+    """Row m expanded on its own: multiply the linear forms row_l(A) . v in
+    the order l = 0..d, m_l times each, keyed by exponent tuples."""
+    width = A.cols
+    poly = {(0,) * width: one}
+    for ell in range(width):
+        for _ in range(m[ell]):
+            out: dict = {}
+            for exp, c in poly.items():
+                for j, a in enumerate(A.row(ell)):
+                    if not a:
+                        continue
+                    key = exp[:j] + (exp[j] + 1,) + exp[j + 1:]
+                    out[key] = c * a if key not in out else out[key] + c * a
+            poly = out
+    return poly
+
+
+def test_degree_by_degree_build_matches_per_row_expansion():
+    rng = random.Random(131)
+    for d in (1, 2, 3):
+        for N in range(6):
+            exact = random_matrix(rng, d + 1, span=5, max_den=7)
+            approx = Matrix(d + 1, d + 1,
+                            [0.0 if rng.random() < 0.2 else rng.uniform(-2.0, 2.0)
+                             for _ in range((d + 1) ** 2)], exact=False)
+            for A, one, zero in ((exact, Fraction(1), Fraction(0)), (approx, 1.0, 0.0)):
+                ind = induced_matrix(A, N)
+                assert ind.matrix.exact == A.exact
+                for i, m in enumerate(ind.basis):
+                    poly = expand_per_row(A, m, one)
+                    expected = [poly.get(tuple(n), zero) for n in ind.basis]
+                    assert ind.matrix.row(i) == expected
+                    if A.exact:
+                        assert all(type(c) is Fraction for c in ind.matrix.row(i))
+                    else:
+                        assert [math.copysign(1.0, c) for c in ind.matrix.row(i)] == \
+                            [math.copysign(1.0, c) for c in expected]
