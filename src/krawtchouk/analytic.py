@@ -175,9 +175,8 @@ def leibniz_bruteforce(level: KravchoukLevel, Bvec, Vvec):
         raise ValueError(f"vectors need {d} components")
     gram = level.gram_diagonal("bernoulli")
     total = 0
-    for pos, m in enumerate(level.basis):
+    for m, term in zip(level.basis, gram.diagonal_entries()):
         n = m[1:]
-        term = gram[pos, pos]
         for i, e in enumerate(n):
             fact = math.factorial(e)
             term = term * (B[i] ** e) / fact

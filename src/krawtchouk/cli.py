@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -63,56 +64,34 @@ def _load_doc(path: str) -> dict:
     return doc
 
 
-def _exact_matrix(raw, d: int, what: str) -> Matrix:
-    if (not isinstance(raw, list) or len(raw) != d + 1
-            or any(not isinstance(r, list) or len(r) != d + 1 for r in raw)):
-        raise _CliError(2, f"{what} must be a {d + 1}x{d + 1} array")
-    entries = []
-    for row in raw:
-        for cell in row:
-            if isinstance(cell, bool) or isinstance(cell, float):
-                raise _CliError(2, f"{what} entries must be rational strings or integers")
-            if isinstance(cell, int):
-                entries.append(Fraction(cell))
-                continue
-            try:
-                entries.append(parse_rational(cell))
-            except (ValueError, TypeError) as exc:
-                raise _CliError(2, f"bad rational {cell!r} in {what}") from exc
-    return Matrix(d + 1, d + 1, entries)
+def _document_cells(raw, d: int, what: str, exact: bool, square: bool) -> list:
+    """The cells of field `what`: d+1 values, or a (d+1)x(d+1) array read row by row.
 
-
-def _rational_vector(raw, d: int, what: str) -> list[Fraction]:
-    if not isinstance(raw, list) or len(raw) != d + 1:
+    Exact cells are integers or rational strings, approximate cells numbers.
+    """
+    if square:
+        if (not isinstance(raw, list) or len(raw) != d + 1
+                or any(not isinstance(r, list) or len(r) != d + 1 for r in raw)):
+            raise _CliError(2, f"{what} must be a {d + 1}x{d + 1} array")
+        raw = [cell for row in raw for cell in row]
+    elif not isinstance(raw, list) or len(raw) != d + 1:
         raise _CliError(2, f"{what} must list {d + 1} values")
-    out = []
+    cells = []
     for cell in raw:
-        if isinstance(cell, bool) or isinstance(cell, float):
-            raise _CliError(2, f"{what} entries must be rational strings or integers")
-        if isinstance(cell, int):
-            out.append(Fraction(cell))
-            continue
-        try:
-            out.append(parse_rational(cell))
-        except (ValueError, TypeError) as exc:
-            raise _CliError(2, f"bad rational {cell!r} in {what}") from exc
-    return out
-
-
-def _float_matrix(raw, d: int, what: str) -> Matrix:
-    if (not isinstance(raw, list) or len(raw) != d + 1
-            or any(not isinstance(r, list) or len(r) != d + 1 for r in raw)):
-        raise _CliError(2, f"{what} must be a {d + 1}x{d + 1} array")
-    entries = []
-    for row in raw:
-        for cell in row:
+        if not exact:
             if isinstance(cell, bool) or not isinstance(cell, (int, float)):
                 raise _CliError(2, f"{what} entries must be numbers")
-            entries.append(float(cell))
-    try:
-        return Matrix(d + 1, d + 1, entries, exact=False)
-    except ValueError as exc:
-        raise _CliError(2, f"bad {what}: {exc}") from exc
+            cells.append(float(cell))
+        elif isinstance(cell, (bool, float)):
+            raise _CliError(2, f"{what} entries must be rational strings or integers")
+        elif isinstance(cell, int):
+            cells.append(Fraction(cell))
+        else:
+            try:
+                cells.append(parse_rational(cell))
+            except (ValueError, TypeError) as exc:
+                raise _CliError(2, f"bad rational {cell!r} in {what}") from exc
+    return cells
 
 
 def system_from_doc(doc: dict) -> KGSystem:
@@ -128,12 +107,16 @@ def system_from_doc(doc: dict) -> KGSystem:
     if has_exact:
         if "p" not in doc:
             raise _CliError(2, "exact system file needs probabilities 'p'")
-        A = _exact_matrix(doc["A"], d, "A")
-        p = _rational_vector(doc["p"], d, "p")
+        A = Matrix(d + 1, d + 1, _document_cells(doc["A"], d, "A", exact=True, square=True))
+        p = _document_cells(doc["p"], d, "p", exact=True, square=False)
         return build_exact(A, p)
     if "D" not in doc:
         raise _CliError(2, "approximate system file needs column norms 'D'")
-    O = _float_matrix(doc["orthogonal"], d, "orthogonal")
+    cells = _document_cells(doc["orthogonal"], d, "orthogonal", exact=False, square=True)
+    try:
+        O = Matrix(d + 1, d + 1, cells, exact=False)
+    except ValueError as exc:
+        raise _CliError(2, f"bad orthogonal: {exc}") from exc
     raw_D = doc["D"]
     if not isinstance(raw_D, list) or any(
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in raw_D):
@@ -470,13 +453,13 @@ def _check_observables(ctx: _VerifyContext) -> CheckResult:
 def _check_recurrence(ctx: _VerifyContext) -> CheckResult:
     rep = ctx.rep
     for j in range(1, rep.d + 1):
-        X = rep.observable(j)
+        columns = rep.observable(j).transpose()
         for col in range(rep.dim):
             n = rep.label(col)
             expected = [rep._zero()] * rep.dim
             for coeff, label in rep.recurrence_apply(j, n):
                 expected[rep.position(label)] = coeff
-            actual = X.col(col)
+            actual = columns.row(col)
             for row in range(rep.dim):
                 if not scalars_match(actual[row], expected[row], ctx.atol, ctx.rtol,
                                      exact=rep.exact):
@@ -601,7 +584,9 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="krawtchouk",
         description="Build, evaluate, verify, and sample Krawtchouk-Griffiths systems.")
@@ -648,9 +633,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:

@@ -22,51 +22,60 @@ def commutator(X: Matrix, Y: Matrix) -> Matrix:
 
 
 class _Span:
-    """Incremental row reduction used for span membership, flavor aware."""
+    """Incremental row reduction used for span membership, flavor aware.
+
+    Vectors are sparse: dicts from a flat index to a nonzero value.
+    """
 
     def __init__(self, exact: bool, atol: float, rtol: float):
         self.exact = exact
         self.atol = atol
         self.rtol = rtol
-        self.pivots: list[tuple[int, object, list]] = []  # (column, value, nonzero support)
+        self.zero = Fraction(0) if exact else 0.0
+        self.pivots: list[tuple[int, object, list]] = []  # (index, value, nonzero support)
 
-    def _threshold(self, vec) -> float:
+    def _threshold(self, vec: dict) -> float:
         if self.exact:
             return 0.0
-        scale = max((abs(v) for v in vec), default=0.0)
+        scale = max((abs(v) for v in vec.values()), default=0.0)
         return self.atol + self.rtol * scale
 
-    def residual(self, vec: list) -> list:
-        vec = list(vec)
+    def residual(self, vec: dict) -> dict:
+        vec = dict(vec)
         for col, pivot, support in self.pivots:
-            c = vec[col]
+            c = vec.get(col)
             if c:
                 f = c / pivot
                 for idx, b in support:
-                    vec[idx] -= f * b
+                    vec[idx] = vec.get(idx, self.zero) - f * b
         return vec
 
-    def add(self, vec: list) -> bool:
+    def add(self, vec: dict) -> bool:
         """Adjoin a vector; False when it was already in the span."""
         r = self.residual(vec)
         tol = self._threshold(vec)
         best, best_mag = None, tol
-        for idx, value in enumerate(r):
-            if value:
-                mag = abs(value)
-                if mag > best_mag:
-                    best, best_mag = idx, mag
+        support = [(idx, r[idx]) for idx in sorted(r) if r[idx]]
+        for idx, value in support:
+            mag = abs(value)
+            if mag > best_mag:
+                best, best_mag = idx, mag
         if best is None:
             return False
-        self.pivots.append((best, r[best], [(idx, v) for idx, v in enumerate(r) if v]))
+        self.pivots.append((best, r[best], support))
         return True
 
-    def deviation(self, vec: list) -> float:
+    def deviation(self, vec: dict) -> float:
         """How far the vector is from the span (0.0 means inside)."""
         r = self.residual(vec)
         tol = self._threshold(vec)
-        worst = max((abs(v) for v in r if v), default=0)
+        worst = max((abs(v) for v in r.values() if v), default=0)
         return 0.0 if worst <= tol else float(worst)
+
+
+def _flat(M: Matrix) -> dict:
+    """The nonzero cells of a matrix as a sparse vector, keyed by row-major index."""
+    return {i * M.cols + j: v for i, j, v in M.nonzeros()}
 
 
 class FockRep:
@@ -122,10 +131,7 @@ class FockRep:
         return self._ops[key]
 
     def _sparse(self, triples) -> Matrix:
-        cells = [self._zero()] * (self.dim * self.dim)
-        for r, c, v in triples:
-            cells[r * self.dim + c] = self._scalar(v)
-        return Matrix(self.dim, self.dim, cells, exact=self.exact)
+        return Matrix._from_triples(self.dim, self.dim, triples, self.exact)
 
     # -- ladder operators -----------------------------------------------------------
 
@@ -358,7 +364,7 @@ class FockRep:
 
         span = _Span(self.exact, atol, rtol)
         for name, mat in generators:
-            if not span.add(list(mat.entries)):
+            if not span.add(_flat(mat)):
                 witness = {"location": name,
                            "expected": "linearly independent generator",
                            "actual": "dependent on earlier generators"}
@@ -367,7 +373,7 @@ class FockRep:
         for a in range(len(generators)):
             for b in range(a + 1, len(generators)):
                 bracket = commutator(generators[a][1], generators[b][1])
-                deviation = span.deviation(list(bracket.entries))
+                deviation = span.deviation(_flat(bracket))
                 if deviation:
                     witness = {"location": f"[{generators[a][0]}, {generators[b][0]}]",
                                "expected": "bracket inside the generator span",

@@ -73,12 +73,12 @@ def induced_matrix(A: Matrix, N: int) -> InducedMatrix:
         raise ValueError(f"level must be nonnegative, got {N}")
     d = A.rows - 1
     basis = enumerate_level(d, N)
+    base = A.to_rows()
     if A.exact:
-        L = _denominator_lcm(A.entries)
-        base = [_integer_row(A.row(ell), L) for ell in range(d + 1)]
-        one = 1
+        L = _denominator_lcm(base)
+        base = [_integer_row(row, L) for row in base]
+        one, scale = 1, L ** N
     else:
-        base = [A.row(ell) for ell in range(d + 1)]
         one = 1.0
     polys = [{0: one}]
     for k in range(1, N + 1):
@@ -88,13 +88,16 @@ def induced_matrix(A: Matrix, N: int) -> InducedMatrix:
         if k < N:
             polys = list(polys)  # the top level is consumed row by row below
     size = len(basis)
-    cells = []
+    where, values = [], []
     for poly in polys:
-        row = [0 if A.exact else 0.0] * size
-        for col, c in poly.items():
-            row[col] = c
-        cells.extend(_over(row, L ** N) if A.exact else row)
-    return InducedMatrix(d + 1, N, basis, Matrix._trusted(size, size, tuple(cells), A.exact))
+        cols = sorted(poly)
+        if A.exact:
+            cols = [col for col in cols if poly[col]]
+            values.append(_over([poly[col] for col in cols], scale))
+        else:
+            values.append([poly[col] for col in cols])
+        where.append(cols)
+    return InducedMatrix(d + 1, N, basis, Matrix._of(size, size, where, values, A.exact))
 
 
 def binomial_diag(d: int, N: int) -> Matrix:

@@ -11,7 +11,7 @@ KGSystem and never re-derives these facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .core import (DEFAULT_ATOL, DEFAULT_RTOL, FlavorError, LevelBasis, Matrix,
@@ -201,6 +201,7 @@ class KravchoukLevel:
     B: Matrix
     W: Matrix
     Dbar: Matrix
+    _grams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # -- positions --------------------------------------------------------------
 
@@ -269,16 +270,20 @@ class KravchoukLevel:
         return row
 
     def gram_diagonal(self, normalization: str = "matrix") -> Matrix:
-        """Diagonal of squared norms, indexed like the basis."""
+        """Diagonal of squared norms, indexed like the basis; built once per normalization."""
         _check_normalization(normalization)
+        found = self._grams.get(normalization)
+        if found is not None:
+            return found
         diag = []
-        for i, m in enumerate(self.basis):
-            value = self.B[i, i] * self.Dbar[i, i]
+        for m, b, dbar in zip(self.basis, self.B.diagonal_entries(), self.Dbar.diagonal_entries()):
+            value = b * dbar
             if normalization == "bernoulli":
                 factor = multi_factorial(m[1:]) ** 2
                 value = value * factor if self.system.exact else value * float(factor)
             diag.append(value)
-        return Matrix.diagonal(diag, exact=self.system.exact)
+        return self._grams.setdefault(normalization,
+                                      Matrix.diagonal(diag, exact=self.system.exact))
 
     def inner_product(self, f, g):
         """Weighted inner product sum_x W_x f(x) g(x) over the lattice."""

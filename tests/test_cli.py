@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,39 @@ def test_generate_float_rotation_bytes_pinned(tmp_path, capsys, level):
     digests = {name: hashlib.sha256((outdir / name).read_bytes()).hexdigest()
                for name in ROTATION_DIGESTS[level]}
     assert digests == ROTATION_DIGESTS[level]
+
+
+# sha256 of the `verify --checks all` report with every elapsed_ms removed,
+# recorded before operators were stored by rows.  A passing report names no
+# level, so one digest serves levels 1-4 of each system (all exit 0); the
+# rotation level-8 report pins a float failure witness (exit 1).
+PASSING_REPORTS = {
+    "binomial_half": "89e51cc65f71dd0c82e6ecec433056ee151d9afa2175165e95934bd68cbdbdb5",
+    "binomial_third": "6727523e83db6b3da5091c315220c1e5936e0cd1f9311f57dada7552090e7229",
+    "hadamard3": "b155953fa6a73b7292bacc7852dc9021c233e98d23ef939c29f78a082123ff5b",
+    "rotation": "b3b3476222855dd8ed302d3822292c9bba30be539dea7a580130fb352bf39ffc",
+    "trinomial": "cc9585fd01bd5ee8576ce890faf8ba53922549e6989c9d3a9e6bccb94a7fc59b",
+}
+ROTATION_LEVEL8_REPORT = "e6736fb885cd058926c087add3455f7beb36739a905a53a2d7962356c8f3b558"
+
+
+def report_digest(stdout: str) -> str:
+    report = json.loads(stdout)
+    for check in report["checks"]:
+        del check["elapsed_ms"]
+    return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PASSING_REPORTS))
+def test_verify_reports_pinned(capsys, name):
+    for level in (1, 2, 3, 4):
+        code, stdout = run(capsys, "verify", "--system", str(SYSTEMS / f"{name}.json"),
+                           "--level", str(level), "--checks", "all")
+        assert (code, report_digest(stdout)) == (0, PASSING_REPORTS[name]), level
+    if name == "rotation":
+        code, stdout = run(capsys, "verify", "--system", str(SYSTEMS / "rotation.json"),
+                           "--level", "8", "--checks", "all")
+        assert (code, report_digest(stdout)) == (1, ROTATION_LEVEL8_REPORT)
 
 
 def test_generate_rejects_unknown_target(tmp_path, capsys):
@@ -333,6 +367,42 @@ def test_malformed_documents(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"d": 1, "A": [[1, "1/2"]], "p": ["1/2", "1/2"]}, "A must be a 2x2 array"),
+    ({"d": 1, "A": "x", "p": ["1/2", "1/2"]}, "A must be a 2x2 array"),
+    ({"d": 1, "A": [[1, "1/2"], [1, 0.5]], "p": ["1/2", "1/2"]},
+     "A entries must be rational strings or integers"),
+    ({"d": 1, "A": [[1, "1/2"], [1, True]], "p": ["1/2", "1/2"]},
+     "A entries must be rational strings or integers"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "1/x"]], "p": ["1/2", "1/2"]}, "bad rational '1/x' in A"),
+    ({"d": 1, "A": [[1, "1/2"], [1, None]], "p": ["1/2", "1/2"]}, "bad rational None in A"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": ["1/2"]}, "p must list 2 values"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": "1/2"}, "p must list 2 values"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": ["1/2", 0.5]},
+     "p entries must be rational strings or integers"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": ["1/2", False]},
+     "p entries must be rational strings or integers"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": ["1/2", "a"]}, "bad rational 'a' in p"),
+    ({"d": 1, "A": [[1, "1/2"], [1, "-1/2"]], "p": ["1/2", [1]]}, "bad rational [1] in p"),
+    ({"d": 1, "orthogonal": [[0.8, 0.6]], "D": [1.0, 1.0]}, "orthogonal must be a 2x2 array"),
+    ({"d": 1, "orthogonal": [[0.8, 0.6], [0.6, "x"]], "D": [1.0, 1.0]},
+     "orthogonal entries must be numbers"),
+    ({"d": 1, "orthogonal": [[0.8, 0.6], [0.6, True]], "D": [1.0, 1.0]},
+     "orthogonal entries must be numbers"),
+    ({"d": 1, "orthogonal": [[0.8, 0.6], [0.6, float("inf")]], "D": [1.0, 1.0]},
+     "bad orthogonal: non-finite entry inf in an approximate matrix"),
+    ({"d": 1, "orthogonal": [[0.8, 0.6], [0.6, float("nan")]], "D": [1.0, 1.0]},
+     "bad orthogonal: non-finite entry nan in an approximate matrix"),
+    ({"d": 1, "orthogonal": [[1, 0], [0, 1]], "D": [1.0, 1.0]},
+     "first-column-not-positive: entry (1, 0) is 0.0"),
+])
+def test_document_error_messages(tmp_path, capsys, doc, message):
+    path = write_system(tmp_path, "doc.json", doc)
+    code = main(["eval", "--system", path, "--level", "1", "--n", "1", "--x", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_subcommand_and_missing_args(capsys):
     assert main(["polish"]) == 2
     capsys.readouterr()
@@ -342,12 +412,35 @@ def test_unknown_subcommand_and_missing_args(capsys):
     capsys.readouterr()
 
 
+def test_successive_calls_share_no_parser_state(tmp_path, capsys):
+    system = write_system(tmp_path)
+    code, stdout = run(capsys, "verify", "--system", system, "--level", "2",
+                       "--checks", "kcondition", "--seed", "5", "--atol", "0.5")
+    assert code == 0
+    assert [c["name"] for c in json.loads(stdout)["checks"]] == ["kcondition"]
+    code, stdout = run(capsys, "eval", "--system", system, "--n", "1", "--x", "0")
+    assert (code, json.loads(stdout)) == (0, {"value": "3/2"})  # default level 3
+    assert main(["eval", "--system", system]) == 2  # --n and --x are required
+    capsys.readouterr()
+    code, stdout = run(capsys, "verify", "--system", system)
+    assert code == 0
+    assert [c["name"] for c in json.loads(stdout)["checks"]] == list(CHECK_ORDER)
+    code, stdout = run(capsys, "sample", "--system", system, "--m", "1", "--n", "1",
+                       "--trials", "10")
+    assert code == 0 and json.loads(stdout)["seed"] == 0
+    code, stdout = run(capsys, "eval", "--system", system, "--level", "2", "--n", "1",
+                       "--x", "0")
+    assert (code, json.loads(stdout)) == (0, {"value": "1"})
+
+
 def test_console_entry_point(tmp_path):
     system = write_system(tmp_path)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "krawtchouk", "eval", "--system", system,
          "--level", "2", "--n", "1", "--x", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"value": "1"}
 

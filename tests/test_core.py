@@ -351,3 +351,146 @@ def test_exact_singular_inverse_raises():
                  [[Fraction(1, 3), Fraction(1, 6)], [Fraction(2, 3), Fraction(1, 3)]]):
         with pytest.raises(ValueError, match="not invertible"):
             Matrix.from_rows(rows).inverse()
+
+
+# -- row storage: structured operands, dense views and signed zeros -----------------
+
+
+def _signs(values):
+    return [math.copysign(1.0, v) for v in values]
+
+
+def _draw(rng, exact):
+    if exact:
+        return lambda: _big_rational(rng)
+    return lambda: rng.choice([-0.0, 0.0]) if rng.random() < 0.2 else rng.uniform(-4.0, 4.0)
+
+
+def test_products_with_structured_operands_match_naive_reference():
+    rng = random.Random(109)
+    for exact in (True, False):
+        zero = Fraction(0) if exact else 0.0
+        draw = _draw(rng, exact)
+        for _ in range(60):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            general = _random_cells(rng, n, m, draw, zero)
+            left = [draw() if rng.random() < 0.8 else zero for _ in range(n)]
+            right = [draw() if rng.random() < 0.8 else zero for _ in range(m)]
+            structured = [
+                (Matrix.diagonal(left, exact=exact), Matrix(n, m, general, exact=exact)),
+                (Matrix(n, m, general, exact=exact), Matrix.diagonal(right, exact=exact)),
+                (Matrix.identity(n, exact=exact), Matrix(n, m, general, exact=exact)),
+                (Matrix(n, m, general, exact=exact), Matrix.identity(m, exact=exact)),
+                (Matrix.zeros(n, n, exact=exact), Matrix(n, m, general, exact=exact)),
+                (Matrix(n, m, general, exact=exact), Matrix.zeros(m, m, exact=exact)),
+                (Matrix.diagonal(left, exact=exact), Matrix.diagonal(left, exact=exact)),
+            ]
+            for A, B in structured:
+                a, b = list(A.entries), list(B.entries)
+                actual = list((A @ B).entries)
+                expected = _naive_product(a, b, A.rows, A.cols, B.cols, zero)
+                assert actual == expected
+                if exact:
+                    assert all(type(c) is Fraction for c in actual)
+                else:
+                    assert _signs(actual) == _signs(expected)
+
+
+def test_sparse_products_match_naive_reference():
+    # operands under half full, so several terms meet in one output cell
+    # of a row that is summed sparsely
+    rng = random.Random(137)
+    for exact in (True, False):
+        zero = Fraction(0) if exact else 0.0
+        for _ in range(80):
+            n, m, q = rng.randint(1, 9), rng.randint(4, 16), rng.randint(2, 9)
+
+            def draw():
+                if exact:
+                    return _big_rational(rng)
+                return rng.uniform(-4.0, 4.0) * 10.0 ** rng.randint(-2, 2)
+
+            a = [draw() if rng.random() < 0.45 else zero for _ in range(n * m)]
+            b = [draw() if rng.random() < 0.4 else zero for _ in range(m * q)]
+            actual = list((Matrix(n, m, a, exact=exact) @ Matrix(m, q, b, exact=exact)).entries)
+            expected = _naive_product(a, b, n, m, q, zero)
+            assert actual == expected
+            if not exact:
+                assert _signs(actual) == _signs(expected)
+
+
+def test_dense_views_agree_with_the_cells_given():
+    rng = random.Random(113)
+    for exact in (True, False):
+        zero = Fraction(0) if exact else 0.0
+        draw = _draw(rng, exact)
+        for _ in range(60):
+            n, m = rng.randint(1, 6), rng.randint(1, 6)
+            cells = _random_cells(rng, n, m, draw, zero)
+            M = Matrix(n, m, cells, exact=exact)
+            views = [list(M.entries), [c for r in M.to_rows() for c in r],
+                     [c for i in range(n) for c in M.row(i)],
+                     [M[i, j] for i in range(n) for j in range(m)],
+                     [M.col(j)[i] for i in range(n) for j in range(m)],
+                     list(M.transpose().transpose().entries)]
+            for view in views:
+                assert view == cells
+                if exact:
+                    assert all(type(c) is Fraction for c in view)
+                else:
+                    assert _signs(view) == _signs(cells)
+            assert list(M.transpose().entries) == [cells[i * m + j] for j in range(m)
+                                                   for i in range(n)]
+            if n == m:
+                assert M.diagonal_entries() == cells[::n + 1]
+            assert M == Matrix(n, m, list(cells), exact=exact)
+            if exact:
+                assert M != M.to_float()
+            else:  # zeros compare equal whatever their sign
+                assert M == Matrix(n, m, [c if c else -c for c in cells], exact=False)
+            changed = list(cells)
+            changed[rng.randrange(n * m)] += 1
+            assert M != Matrix(n, m, changed, exact=exact)
+
+
+def test_float_cellwise_operations_keep_signed_zeros():
+    rng = random.Random(127)
+    draw = _draw(rng, False)
+    for _ in range(100):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_cells(rng, n, m, draw, rng.choice([0.0, -0.0]))
+        b = _random_cells(rng, n, m, draw, rng.choice([0.0, -0.0]))
+        A, B = Matrix(n, m, a, exact=False), Matrix(n, m, b, exact=False)
+        s = rng.choice([-2.5, -0.0, 0.0, 3.0])
+        cases = [
+            (A + B, [x + y for x, y in zip(a, b)]),
+            (A - B, [x - y for x, y in zip(a, b)]),
+            (-A, [-x for x in a]),
+            (A.scaled(s), [s * x for x in a]),
+            (-A - B, [-x - y for x, y in zip(a, b)]),
+            ((-A) + (-B), [-x + -y for x, y in zip(a, b)]),
+            (A.scaled(s) - (-B), [s * x - -y for x, y in zip(a, b)]),
+            ((-A).transpose(), [-a[i * m + j] for j in range(m) for i in range(n)]),
+        ]
+        for M, expected in cases:
+            assert list(M.entries) == expected
+            assert _signs(M.entries) == _signs(expected)
+
+
+def test_exact_cellwise_operations_match_cell_arithmetic():
+    rng = random.Random(131)
+    draw = _draw(rng, True)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_cells(rng, n, m, draw, Fraction(0))
+        b = _random_cells(rng, n, m, draw, Fraction(0))
+        if rng.random() < 0.3:
+            b = list(a)  # sums and differences that cancel
+        A, B = Matrix(n, m, a), Matrix(n, m, b)
+        s = rng.choice([Fraction(0), Fraction(-3, 2), 2])
+        for M, expected in ((A + B, [x + y for x, y in zip(a, b)]),
+                            (A - B, [x - y for x, y in zip(a, b)]),
+                            (-A, [-x for x in a]), (A.scaled(s), [s * x for x in a])):
+            assert list(M.entries) == expected
+            assert all(type(c) is Fraction for c in M.entries)
+            assert M == Matrix(n, m, expected)
