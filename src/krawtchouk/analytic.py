@@ -167,20 +167,24 @@ def leibniz_bruteforce(level: KravchoukLevel, Bvec, Vvec):
     """The same pairing summed term by term over all labels.
 
     sum over |n| <= N of (B^n / n!)(V^n / n!) times the bernoulli squared
-    norm; dual route to `leibniz`.
+    norm; dual route to `leibniz`.  Powers and factorials are tabulated
+    once per call; a zero exponent contributes the factor 1/1, which is
+    skipped, since multiplying and dividing by 1 is exact in both flavors.
     """
-    d = level.system.d
+    d, N = level.system.d, level.N
     B, V = list(Bvec), list(Vvec)
     if len(B) != d or len(V) != d:
         raise ValueError(f"vectors need {d} components")
+    facts = [math.factorial(e) for e in range(N + 1)]
+    B_pows = [[b ** e for e in range(N + 1)] for b in B]
+    V_pows = [[v ** e for e in range(N + 1)] for v in V]
     gram = level.gram_diagonal("bernoulli")
     total = 0
     for m, term in zip(level.basis, gram.diagonal_entries()):
-        n = m[1:]
-        for i, e in enumerate(n):
-            fact = math.factorial(e)
-            term = term * (B[i] ** e) / fact
-            term = term * (V[i] ** e) / fact
+        for i, e in enumerate(m[1:]):
+            if e:
+                term = term * B_pows[i][e] / facts[e]
+                term = term * V_pows[i][e] / facts[e]
         total = total + term
     return total
 

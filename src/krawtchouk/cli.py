@@ -10,6 +10,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import random
 import sys
 import time
@@ -584,6 +585,17 @@ def cmd_verify(args) -> int:
 # -- entry point --------------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """An --atol/--rtol value: a finite, nonnegative float."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value < 0.0:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing leaves it unchanged."""
@@ -598,8 +610,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--level", type=int, default=3, metavar="N",
                         help="polynomial degree (default 3)")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized pieces")
-    common.add_argument("--atol", type=float, default=DEFAULT_ATOL)
-    common.add_argument("--rtol", type=float, default=DEFAULT_RTOL)
+    common.add_argument("--atol", type=_tolerance, default=DEFAULT_ATOL)
+    common.add_argument("--rtol", type=_tolerance, default=DEFAULT_RTOL)
 
     gen = sub.add_parser("generate", parents=[common],
                          help="write level matrices or operator bundles")

@@ -21,7 +21,9 @@ inverse is the fraction-free Gauss-Jordan elimination of Bareiss (Math.
 Comp. 22 (1968)) on dense integer rows, ending in L*adj/det.  A product
 with a diagonal matrix is thereby a row or column scaling.  The float
 branch of a product visits k in the same order as a plain triple loop,
-so float results are bit-identical to it, signed zeros included.
+so float results are bit-identical to it, signed zeros included.  No
+verification path calls `inverse`: the one matrix the checks invert,
+the value table, has a closed-form inverse (`FockRep.value_table_inverse`).
 """
 
 from __future__ import annotations

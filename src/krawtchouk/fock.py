@@ -233,19 +233,39 @@ class FockRep:
 
         return self._cached(("table",), build)
 
+    def value_table_inverse(self) -> Matrix:
+        """Inverse of the value table T = Phi^T diag(n!), read off orthogonality.
+
+        The level's orthogonality Phi W Phi^T = B Dbar gives, in closed form,
+        T^{-1} = diag(1 / (n! (B Dbar)_n)) Phi W: one product with two
+        diagonal scalings, no elimination.  Nothing here assumes the
+        relation holds: if Phi, W, B or Dbar is wrong, T^{-1} T is not the
+        identity and the point-basis route disagrees with `observable`.
+        """
+
+        def build():
+            scales = [self._one() / (self._scalar(multi_factorial(n)) * g)
+                      for n, g in zip(self._labels,
+                                      self.level.gram_diagonal("matrix").diagonal_entries())]
+            return Matrix.diagonal(scales, exact=self.exact) @ self.level.Phi @ self.level.W
+
+        return self._cached(("table-inverse",), build)
+
     def observable_point_basis(self, j: int) -> Matrix:
         """Independent route: conjugate the diagonal of lattice coordinates.
 
         Multiplication by x_j is diagonal in the point basis; pulling it
-        through the value table must reproduce `observable` exactly.
+        through the value table, T^{-1} diag(x_j) T with T^{-1} from
+        `value_table_inverse`, must reproduce `observable` exactly.  The
+        closed-form T^{-1} is only the inverse when the level's
+        orthogonality holds, so a defect in Phi, W, B or Dbar shows here too.
         """
         self._check_index(j)
 
         def build():
-            T = self.value_table()
             coords = Matrix.diagonal(
                 [self._scalar(m[j]) for m in self.level.basis], exact=self.exact)
-            return T.inverse() @ coords @ T
+            return self.value_table_inverse() @ coords @ self.value_table()
 
         return self._cached(("Xpoint", j), build)
 

@@ -137,7 +137,9 @@ def test_generate_float_rotation_bytes_pinned(tmp_path, capsys, level):
 # sha256 of the `verify --checks all` report with every elapsed_ms removed,
 # recorded before operators were stored by rows.  A passing report names no
 # level, so one digest serves levels 1-4 of each system (all exit 0); the
-# rotation level-8 report pins a float failure witness (exit 1).
+# rotation level-8 report pins a float failure witness (exit 1), re-recorded
+# when the value table came to be inverted through orthogonality: the
+# point-basis residual fell from 2.13e-10 at (0, 5) to 2.61e-12 at (0, 6).
 PASSING_REPORTS = {
     "binomial_half": "89e51cc65f71dd0c82e6ecec433056ee151d9afa2175165e95934bd68cbdbdb5",
     "binomial_third": "6727523e83db6b3da5091c315220c1e5936e0cd1f9311f57dada7552090e7229",
@@ -145,7 +147,7 @@ PASSING_REPORTS = {
     "rotation": "b3b3476222855dd8ed302d3822292c9bba30be539dea7a580130fb352bf39ffc",
     "trinomial": "cc9585fd01bd5ee8576ce890faf8ba53922549e6989c9d3a9e6bccb94a7fc59b",
 }
-ROTATION_LEVEL8_REPORT = "e6736fb885cd058926c087add3455f7beb36739a905a53a2d7962356c8f3b558"
+ROTATION_LEVEL8_REPORT = "2234de5d26a2b27ce018e6d72251be6e09889bd41767937dd69e125f294b90a4"
 
 
 def report_digest(stdout: str) -> str:
@@ -401,6 +403,23 @@ def test_document_error_messages(tmp_path, capsys, doc, message):
     code = main(["eval", "--system", path, "--level", "1", "--n", "1", "--x", "0"])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("flag", ["--atol", "--rtol"])
+@pytest.mark.parametrize("value", ["-1", "-1e-300", "nan", "inf", "-inf"])
+def test_rejects_bad_tolerance(tmp_path, capsys, flag, value):
+    path = write_system(tmp_path)
+    code = main(["verify", "--system", path, "--level", "1", f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        f"error: argument {flag}: must be finite and nonnegative, got {value!r}\n")
+
+
+def test_accepts_zero_tolerances(tmp_path, capsys):
+    code, stdout = run(capsys, "verify", "--system", write_system(tmp_path), "--level", "2",
+                       "--atol", "0", "--rtol", "0")
+    assert code == 0 and json.loads(stdout)["overall"] == "pass"
 
 
 def test_unknown_subcommand_and_missing_args(capsys):

@@ -1,11 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import (binomial_system, hadamard3_system, trinomial_system)
 
 from krawtchouk import (FockRep, Matrix, build_from_orthogonal, commutator,
-                        kravchouk_level)
+                        kravchouk_level, matrices_match)
+from krawtchouk.cli import load_system
+
+SYSTEM_FILES = Path(__file__).resolve().parent.parent / "systems"
 
 
 def rep(system, N: int) -> FockRep:
@@ -204,6 +208,24 @@ def test_value_table_invertible(trinomial):
     r = rep(trinomial, 2)
     T = r.value_table()
     assert T @ T.inverse() == Matrix.identity(r.dim)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SYSTEM_FILES.glob("*.json")))
+def test_value_table_inverse_closed_form(name):
+    # diag(1/(n! (B Dbar)_n)) Phi W inverts T exactly, and is the inverse
+    # elimination finds; float systems agree within the default tolerances
+    system = load_system(str(SYSTEM_FILES / f"{name}.json"))
+    for N in range(1, 7):
+        r = rep(system, N)
+        T, Tinv = r.value_table(), r.value_table_inverse()
+        assert r.value_table_inverse() is Tinv
+        identity = Matrix.identity(r.dim, exact=system.exact)
+        if system.exact:
+            assert Tinv @ T == identity, N
+            assert Tinv.to_rows() == T.inverse().to_rows(), N
+        else:
+            assert matrices_match(Tinv @ T, identity) is None, N
+            assert matrices_match(Tinv, T.inverse()) is None, N
 
 
 # -- recurrence --------------------------------------------------------------------

@@ -6,6 +6,8 @@ builder that the check reads.  Every test asserts that the check fails
 and names where.
 """
 
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -43,16 +45,31 @@ def failed_witness(system_name: str, check: str) -> dict:
     return result.witness
 
 
-@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
-def test_orthogonality_catches_one_phi_entry(monkeypatch, system_name):
+def break_level(monkeypatch, field: str, i: int, j: int):
+    """Make every level the checks read carry one bumped cell of Phi or W."""
     def broken_level(system, N):
         level = kravchouk_level(system, N)
-        return type(level)(level.system, level.N, level.basis, bumped(level.Phi, 2, 1),
-                           level.B, level.W, level.Dbar)
+        return dataclasses.replace(level, **{field: bumped(getattr(level, field), i, j)})
 
     monkeypatch.setattr(cli, "kravchouk_level", broken_level)
+
+
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+def test_orthogonality_catches_one_phi_entry(monkeypatch, system_name):
+    break_level(monkeypatch, "Phi", 2, 1)
     witness = failed_witness(system_name, "orthogonality")
     assert witness["location"][0] == 2 or witness["location"][1] == 2
+
+
+@pytest.mark.parametrize("system_name", sorted(SYSTEMS))
+@pytest.mark.parametrize("field, cell", [("Phi", (2, 1)), ("W", (3, 3))])
+def test_observables_catch_one_level_cell(monkeypatch, system_name, field, cell):
+    # the point-basis route reads Phi through T and T^{-1}, and W through
+    # T^{-1} = diag(1/(n! (B Dbar)_n)) Phi W; a W cell shows in X_j only
+    # when x_j is nonzero at its lattice point
+    break_level(monkeypatch, field, *cell)
+    witness = failed_witness(system_name, "observables")
+    assert re.fullmatch(r"X_\d vs point-basis", witness["clause"]), witness
 
 
 @pytest.mark.parametrize("system_name", sorted(SYSTEMS))
